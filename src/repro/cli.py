@@ -175,7 +175,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     recorder = TraceRecorder()
     driver = UvmDriver(
         space=space,
-        streams=build.streams if build.phases is None else None,
         phases=build.phases,
         driver_config=setup.driver,
         gpu_config=setup.gpu,

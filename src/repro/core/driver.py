@@ -40,6 +40,7 @@ from repro.core.service import FaultServicer
 from repro.errors import ConfigurationError, DeadlockError, SimulationError
 from repro.gpu.device import GpuDevice, GpuDeviceConfig
 from repro.gpu.dma import DmaEngine, DmaStats
+from repro.gpu.table import StreamTable
 from repro.gpu.warp import WarpStream
 from repro.mem.address_space import AddressSpace
 from repro.mem.page_table import PageTable
@@ -165,7 +166,7 @@ class UvmDriver:
     def __init__(
         self,
         space: AddressSpace,
-        streams: list[WarpStream] | None = None,
+        streams: StreamTable | list[WarpStream] | None = None,
         driver_config: DriverConfig | None = None,
         gpu_config: GpuDeviceConfig | None = None,
         cost: CostModel | None = None,
@@ -176,11 +177,10 @@ class UvmDriver:
         from repro.workloads.base import KernelPhase
 
         if phases is None:
-            phases = [KernelPhase(streams=list(streams or []))]
+            phases = [KernelPhase(streams if streams is not None else [])]
         elif streams is not None:
             raise ConfigurationError("pass either streams or phases, not both")
         self._phases = phases
-        streams = phases[0].streams
         self.space = space
         self.driver_config = driver_config or DriverConfig()
         self.gpu_config = gpu_config or GpuDeviceConfig()
@@ -214,7 +214,7 @@ class UvmDriver:
         self.dma = DmaEngine(self.cost, space.page_size, chaos=self.chaos)
         self.device = GpuDevice(
             self.gpu_config,
-            streams,
+            phases[0].table,
             rng=self.rng,
             total_vablocks=space.total_vablocks,
         )
@@ -269,7 +269,7 @@ class UvmDriver:
             thrashing=self._thrashing,
             sanitizer=self.sanitizer,
         )
-        self._n_streams = sum(len(p.streams) for p in self._phases)
+        self._n_streams = sum(p.table.n for p in self._phases)
         self._compute_parallelism = max(1, self.gpu_config.n_sms * 8)
         # snapshot which advise behaviours are in play so the hot phase
         # loop only pays for permission/remote checks when needed
@@ -543,7 +543,7 @@ class UvmDriver:
                 if phase.host_before is not None:
                     self._host_access(phase.host_before)
                 if self._phase_i > 0:
-                    self.device.load_kernel(phase.streams)
+                    self.device.load_kernel(phase.table)
                 self._kernel_phases = 0
                 self._kernel_stagnant = 0
                 self._kernel_last_progress = (-1, -1)

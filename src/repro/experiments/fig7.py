@@ -89,7 +89,6 @@ def trace_workload(
     recorder = TraceRecorder()
     driver = UvmDriver(
         space=space,
-        streams=build.streams if build.phases is None else None,
         phases=build.phases,
         driver_config=setup.driver,
         gpu_config=setup.gpu,

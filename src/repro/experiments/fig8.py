@@ -91,7 +91,7 @@ def run_fig8(
     recorder = TraceRecorder()
     driver = UvmDriver(
         space=space,
-        streams=build.streams,
+        phases=build.phases,
         driver_config=setup.driver,
         gpu_config=setup.gpu,
         cost=setup.cost,

@@ -73,10 +73,10 @@ class ExperimentSetup:
 
 #: pristine (AddressSpace, WorkloadBuild) pairs keyed by everything that
 #: determines ``workload.build`` output.  Entries are deep-copied on
-#: every use (the run mutates the space), so the memo stays pristine; a
-#: copy costs ~10 ms where a rebuild costs ~1 s for reference-sized
-#: workloads.  Per-process (each serve worker / sweep process warms its
-#: own), bounded to a handful of signatures.
+#: every use (the run mutates the space), so the memo stays pristine;
+#: the read-only stream tables are shared rather than copied, so a hit
+#: copies only the small mutable state.  Per-process (each serve worker
+#: / sweep process warms its own), bounded to a handful of signatures.
 _warm_builds: OrderedDict[tuple, tuple] = OrderedDict()
 _WARM_BUILDS_MAX = 4
 
@@ -108,8 +108,9 @@ def build_driver(
     driver and skip construction entirely).
 
     ``warm=True`` memoizes the built ``(space, build)`` pair per build
-    signature and hands out a deep copy, so batch members sharing a
-    signature skip the expensive :meth:`Workload.build`.  Bit-identical
+    signature and hands out a deep copy (sharing the read-only stream
+    tables), so batch members sharing a signature skip the expensive
+    :meth:`Workload.build`.  Bit-identical
     to a cold build: the build is deterministic in ``(workload, seed,
     vablock)``, and :meth:`SimRng.fork` is pure (derives the child seed
     without consuming parent state), so skipping the fork on a memo hit
@@ -130,7 +131,9 @@ def build_driver(
         else:
             _warm_builds.move_to_end(sig)
         # joint deepcopy preserves aliasing between the space and the
-        # build's streams/phases (they reference the same allocations).
+        # build's ranges (they reference the same allocations); the
+        # read-only stream tables deep-copy to themselves, so every copy
+        # shares their arrays.
         space, build = copy.deepcopy(entry)
     else:
         space = setup.make_space()
@@ -138,7 +141,6 @@ def build_driver(
     recorder: TraceRecorder = TraceRecorder() if record_trace else NullRecorder()
     return UvmDriver(
         space=space,
-        streams=build.streams if build.phases is None else None,
         phases=build.phases,
         driver_config=setup.driver,
         gpu_config=setup.gpu,
@@ -527,17 +529,31 @@ def run_sweep(
 
 
 def _run_pool(fn, jobs: Sequence, n_workers: int) -> Optional[list]:
-    """Fan jobs over a process pool; ``None`` means fall back to serial
-    (sandboxes without fork/semaphore support, pickling failures)."""
+    """Fan jobs over a process pool; ``None`` means the pool could not
+    start (sandboxes without fork or semaphore support) and the caller
+    runs serially.  An exception raised by ``fn`` in a worker propagates:
+    re-running a failed sweep serially would hide the bug and double
+    its cost."""
     import multiprocessing as mp
     from concurrent.futures import ProcessPoolExecutor
 
     try:
-        try:
-            ctx = mp.get_context("fork")  # cheap start, inherits imports
-        except ValueError:  # pragma: no cover - non-POSIX
-            ctx = mp.get_context()
-        with ProcessPoolExecutor(max_workers=n_workers, mp_context=ctx) as pool:
-            return list(pool.map(fn, jobs))
-    except Exception:  # pragma: no cover - environment-dependent
+        ctx = mp.get_context("fork")  # cheap start, inherits imports
+    except ValueError:  # pragma: no cover - non-POSIX
+        ctx = mp.get_context()
+    try:
+        pool = ProcessPoolExecutor(max_workers=n_workers, mp_context=ctx)
+    except (OSError, NotImplementedError):  # pragma: no cover - no semaphores
         return None
+    with pool:
+        try:
+            # workers fork on submit, so a host that cannot fork fails here
+            futures = [pool.submit(fn, job) for job in jobs]
+        except OSError:  # pragma: no cover - environment-dependent
+            pool.shutdown(cancel_futures=True)
+            return None
+        try:
+            return [future.result() for future in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)  # fail fast: drop queued jobs
+            raise

@@ -10,6 +10,7 @@ Section IV-A), and stalled warps resume only on replay notifications
 
 from repro.gpu.fault_buffer import FaultBuffer, FaultEntry
 from repro.gpu.warp import StreamState, WarpStream
+from repro.gpu.table import StreamTable, StreamTableBuilder
 from repro.gpu.scheduler import BlockScheduler
 from repro.gpu.tlb import UTlbArray
 from repro.gpu.dma import DmaEngine
@@ -20,6 +21,8 @@ __all__ = [
     "FaultEntry",
     "WarpStream",
     "StreamState",
+    "StreamTable",
+    "StreamTableBuilder",
     "BlockScheduler",
     "UTlbArray",
     "DmaEngine",

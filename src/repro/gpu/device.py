@@ -23,6 +23,7 @@ from repro.errors import ConfigurationError
 from repro.gpu.fault_buffer import FaultBuffer, FaultEntry
 from repro.gpu.scheduler import BlockScheduler
 from repro.gpu.soa import SoaBlockScheduler, advance_batch, span_indices
+from repro.gpu.table import StreamTable
 from repro.gpu.tlb import UTlbArray
 from repro.gpu.warp import StreamState, WarpStream
 from repro.sim.clock import SimClock
@@ -110,7 +111,7 @@ class GpuDevice:
     def __init__(
         self,
         config: GpuDeviceConfig,
-        streams: list[WarpStream],
+        streams: StreamTable | list[WarpStream],
         rng: SimRng,
         total_vablocks: int = 0,
     ) -> None:
@@ -341,7 +342,7 @@ class GpuDevice:
         touched = stream.pages[start:stop]
         np.add.at(self.access_counters, touched // self._pages_per_vablock, 1)
 
-    def load_kernel(self, streams: list[WarpStream]) -> None:
+    def load_kernel(self, streams: StreamTable | list[WarpStream]) -> None:
         """Launch a new kernel: fresh scheduler, persistent device state.
 
         The fault buffer, uTLB filters, and access counters live across

@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Iterator, Optional, Sequence
 
 from repro.errors import SimulationError
+from repro.gpu.table import StreamTable
 from repro.gpu.warp import StreamState, WarpStream
 from repro.sim.rng import SimRng
 
@@ -24,7 +25,7 @@ class BlockScheduler:
 
     def __init__(
         self,
-        streams: Sequence[WarpStream],
+        streams: StreamTable | Sequence[WarpStream],
         rng: SimRng,
         max_active: int = 2048,
         n_sms: int = 80,
@@ -34,7 +35,11 @@ class BlockScheduler:
             raise SimulationError(f"max_active must be positive, got {max_active}")
         if n_sms <= 0:
             raise SimulationError(f"n_sms must be positive, got {n_sms}")
-        self.streams = list(streams)
+        # a table is unpacked into per-stream views; explicit stream
+        # objects are driven as given
+        self.streams = (
+            streams.streams() if isinstance(streams, StreamTable) else list(streams)
+        )
         self.max_active = max_active
         self.n_sms = n_sms
         # Dispatch order: ascending with nondeterministic local jitter.

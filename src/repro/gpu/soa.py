@@ -32,6 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.gpu.table import StreamTable
 from repro.gpu.warp import WarpStream
 from repro.sim.rng import SimRng
 
@@ -50,44 +51,29 @@ MAX_WINDOW = 8192  # lint: allow(units-magic-literal) scan-window entries, not b
 class SoaStreams:
     """All warp-stream state as flat arrays.
 
-    Per-stream page sequences are concatenated into ``pages_flat`` /
-    ``writes_flat``; ``start``/``end`` delimit each stream's span and
-    ``pos`` is the absolute cursor of its next access.  Streams without a
-    writes mask get an all-False span, which makes the permission check
-    ``where(writes, write_ok, read_ok)`` degenerate to ``read_ok`` -
-    byte-identical to the scalar ``check_writes`` guard.
+    The page/write sequences are the kernel's
+    :class:`~repro.gpu.table.StreamTable` columns, adopted without a
+    copy (``pages_flat`` *is* ``table.pages``, so a pickled driver holds
+    them once); ``start``/``end`` delimit each stream's span and ``pos``
+    is the absolute cursor of its next access.  Streams without a
+    writes mask have an all-False span, which makes the permission
+    check ``where(writes, write_ok, read_ok)`` degenerate to ``read_ok``
+    - byte-identical to the scalar ``check_writes`` guard.
     """
 
-    def __init__(self, streams: Sequence[WarpStream]) -> None:
-        n = len(streams)
+    def __init__(self, table: StreamTable) -> None:
+        n = table.n
         self.n = n
-        lengths = np.fromiter((len(s.pages) for s in streams), dtype=np.int64, count=n)
-        start = np.zeros(n, dtype=np.int64)
-        if n > 1:
-            np.cumsum(lengths[:-1], out=start[1:])
-        total = int(lengths.sum()) if n else 0
-        self.start = start
-        self.end = start + lengths
-        if n:
-            self.pages_flat = np.concatenate(
-                [s.pages for s in streams] or [np.empty(0, dtype=np.int64)]
-            )
-        else:
-            self.pages_flat = np.empty(0, dtype=np.int64)
-        self.writes_flat = np.zeros(total, dtype=bool)
-        for i, s in enumerate(streams):
-            if s.writes is not None:
-                self.writes_flat[start[i] : self.end[i]] = s.writes
-        self.pos = start.copy()
+        self.start = table.offsets[:-1]
+        self.end = table.offsets[1:]
+        self.pages_flat = table.pages
+        self.writes_flat = table.writes
+        self.pos = self.start.copy()
         self.state = np.full(n, PENDING, dtype=np.int8)
         self.stalled_on = np.full(n, -1, dtype=np.int64)
         self.sm_id = np.full(n, -1, dtype=np.int64)
-        self.stream_ids = np.fromiter(
-            (s.stream_id for s in streams), dtype=np.int64, count=n
-        )
-        self.flops = np.fromiter(
-            (s.flops_per_access for s in streams), dtype=np.float64, count=n
-        )
+        self.stream_ids = table.stream_ids
+        self.flops = table.flops_per_access
         self.faults_raised = np.zeros(n, dtype=np.int64)
         #: reusable per-window scan scratch (see :func:`advance_batch`);
         #: keyed by window width, rows grown to the high-water mark.
@@ -221,7 +207,7 @@ class SoaBlockScheduler:
 
     def __init__(
         self,
-        streams: Sequence[WarpStream],
+        streams: StreamTable | Sequence[WarpStream],
         rng: SimRng,
         max_active: int = 2048,
         n_sms: int = 80,
@@ -231,13 +217,15 @@ class SoaBlockScheduler:
             raise SimulationError(f"max_active must be positive, got {max_active}")
         if n_sms <= 0:
             raise SimulationError(f"n_sms must be positive, got {n_sms}")
-        self.streams = list(streams)
-        self.soa = SoaStreams(self.streams)
+        if not isinstance(streams, StreamTable):
+            streams = StreamTable.from_streams(streams)
+        self.table = streams
+        self.soa = SoaStreams(streams)
         self.max_active = max_active
         self.n_sms = n_sms
         # identical draw to the scalar scheduler: same window, same rng
         self._dispatch_order = rng.jitter_order(
-            len(self.streams), window=max(8.0, jitter * 4 * max_active)
+            streams.n, window=max(8.0, jitter * 4 * max_active)
         )
         self._next_dispatch = 0
         self._active = np.empty(0, dtype=np.int64)
@@ -245,6 +233,11 @@ class SoaBlockScheduler:
         self._n_done_active = 0  # DONE entries awaiting compaction
         self._n_stalled = 0
         self._n_done_total = 0
+
+    @property
+    def streams(self) -> list[WarpStream]:
+        """The kernel's streams as (stateless) views of the table."""
+        return self.table.streams()
 
     # -- dispatch -----------------------------------------------------------
     def refill(self) -> int:
@@ -304,7 +297,7 @@ class SoaBlockScheduler:
     def all_done(self) -> bool:
         return (
             self._next_dispatch >= self._dispatch_order.size
-            and self._n_done_total == len(self.streams)
+            and self._n_done_total == self.table.n
         )
 
     def wake_all_stalled(self) -> int:
@@ -321,7 +314,7 @@ class SoaBlockScheduler:
 
     def progress(self) -> tuple[int, int]:
         """(streams done, total streams) - for progress reporting."""
-        return self._n_done_total, len(self.streams)
+        return self._n_done_total, self.table.n
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         done, total = self.progress()

@@ -79,6 +79,26 @@ class WarpStream:
     def __len__(self) -> int:
         return len(self.pages)
 
+    def __eq__(self, other: object) -> bool:
+        """Same access sequence: id, pages, writes mask, FLOPs per access.
+
+        Streams are views of a :class:`~repro.gpu.table.StreamTable`, so
+        identity says nothing; execution state (cursor, stall) is not
+        compared.
+        """
+        if not isinstance(other, WarpStream):
+            return NotImplemented
+        if (self.writes is None) != (other.writes is None):
+            return False
+        return (
+            self.stream_id == other.stream_id
+            and self.flops_per_access == other.flops_per_access
+            and np.array_equal(self.pages, other.pages)
+            and (self.writes is None or np.array_equal(self.writes, other.writes))
+        )
+
+    __hash__ = None  # type: ignore[assignment]  # mutable cursor state
+
     @property
     def remaining(self) -> int:
         return len(self.pages) - self.pos

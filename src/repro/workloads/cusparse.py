@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.gpu.warp import WarpStream
+from repro.gpu.table import StreamTableBuilder
 from repro.mem.address_space import AddressSpace
 from repro.sim.rng import SimRng
 from repro.workloads.base import Workload, WorkloadBuild, chunk_indices
@@ -79,7 +79,7 @@ class CusparseWorkload(Workload):
         wl_rng = rng.fork(self.name)
 
         nnz_per_row = max(1, self.nnz // n)
-        streams: list[WarpStream] = []
+        streams = StreamTableBuilder()
         sid = 0
 
         # -- phase 1: dense -> CSR conversion (sequential sweep) ----------------
@@ -98,7 +98,7 @@ class CusparseWorkload(Workload):
             pages = np.concatenate([d_pages, v_pages, c_pages, r_page])
             writes = np.zeros(pages.shape, dtype=bool)
             writes[d_pages.size :] = True  # CSR arrays are written
-            streams.append(self.make_stream(sid, pages, writes))
+            streams.add(sid, pages, writes)
             sid += 1
 
         # -- phase 2: SpMM C = S @ B (scattered B reads) ---------------------------
@@ -120,12 +120,12 @@ class CusparseWorkload(Workload):
             pages = np.concatenate([v_pages, c_pages, b_pages, out_pages])
             writes = np.zeros(pages.shape, dtype=bool)
             writes[pages.size - out_pages.size :] = True
-            streams.append(self.make_stream(sid, pages, writes))
+            streams.add(sid, pages, writes)
             sid += 1
 
-        return WorkloadBuild(
-            streams=streams,
-            ranges={
+        return WorkloadBuild.single(
+            streams.finish(),
+            {
                 "dense": dense,
                 "csr_vals": vals,
                 "csr_cols": cols,

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.gpu.warp import WarpStream
+from repro.gpu.table import StreamTableBuilder
 from repro.mem.address_space import AddressSpace
 from repro.sim.rng import SimRng
 from repro.units import bytes_to_pages
@@ -72,7 +72,7 @@ class CufftWorkload(Workload):
         rev = _bit_reverse_permutation(1 << (npages - 1).bit_length())
         rev = rev[rev < npages]
 
-        streams: list[WarpStream] = []
+        streams = StreamTableBuilder()
         sid = 0
         # forward: read src, write dst; inverse: read dst, write src.
         directions = [(src, dst), (dst, src)]
@@ -86,6 +86,6 @@ class CufftWorkload(Workload):
                     pages = np.concatenate([read_pages[lo:hi], write_pages[lo:hi]])
                     writes = np.zeros(pages.shape, dtype=bool)
                     writes[hi - lo :] = True
-                    streams.append(self.make_stream(sid, pages, writes))
+                    streams.add(sid, pages, writes)
                     sid += 1
-        return WorkloadBuild(streams=streams, ranges={"signal": src, "spectrum": dst})
+        return WorkloadBuild.single(streams.finish(), {"signal": src, "spectrum": dst})

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.gpu.warp import WarpStream
+from repro.gpu.table import StreamTableBuilder
 from repro.mem.address_space import AddressSpace
 from repro.sim.rng import SimRng
 from repro.units import bytes_to_pages
@@ -68,7 +68,7 @@ class HpgmgWorkload(Workload):
         level_pages = [bytes_to_pages(self._level_bytes(lv)) for lv in range(self.levels)]
         wl_rng = rng.fork(self.name)
 
-        streams: list[WarpStream] = []
+        streams = StreamTableBuilder()
         sid = 0
 
         def emit_level_sweep(level: int, write: bool, read_level: int | None) -> None:
@@ -102,7 +102,7 @@ class HpgmgWorkload(Workload):
                 writes = np.zeros(pages.shape, dtype=bool)
                 if write:
                     writes[: own.size] = True
-                streams.append(self.make_stream(sid, pages, writes))
+                streams.add(sid, pages, writes)
                 sid += 1
 
         for _ in range(self.v_cycles):
@@ -116,7 +116,6 @@ class HpgmgWorkload(Workload):
             for lv in range(self.levels - 2, -1, -1):
                 emit_level_sweep(lv, write=True, read_level=lv + 1)  # interp
                 emit_level_sweep(lv, write=True, read_level=None)  # smooth
-        return WorkloadBuild(
-            streams=streams,
-            ranges={f"level{lv}": g for lv, g in enumerate(grids)},
+        return WorkloadBuild.single(
+            streams.finish(), {f"level{lv}": g for lv, g in enumerate(grids)}
         )

@@ -23,7 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.gpu.warp import WarpStream
+from repro.gpu.soa import span_indices
+from repro.gpu.table import StreamTable
 from repro.mem.address_space import AddressSpace
 from repro.mem.address_space import ManagedRange
 from repro.sim.rng import SimRng
@@ -54,24 +55,27 @@ class SgemmWorkload(Workload):
         return 2 * self.n**3
 
     def _band_pages(
-        self,
-        rng_range: ManagedRange,
-        rows: np.ndarray,
-        col_lo: int,
-        col_hi: int,
-        page_size: int,
-    ) -> np.ndarray:
-        """Pages touched by a ``rows x [col_lo, col_hi)`` tile.
+        self, rng_range: ManagedRange, page_size: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Pages of every ``tile x tile`` band of one matrix.
 
-        A tile row segment spans at most a few pages; sampling its first
-        and last element and deduplicating captures every page touched.
+        Band ``x * grid + y`` covers rows ``[x*tile, (x+1)*tile)`` and
+        columns ``[y*tile, (y+1)*tile)``.  A tile row segment spans at
+        most a few pages; sampling its first and last element and
+        deduplicating consecutive touches captures every page touched.
+        Returns ``(pages, lengths)`` as :meth:`pages_of_element_rows`.
         """
-        first = rows * self.n + col_lo
-        last = rows * self.n + (col_hi - 1)
-        elems = np.empty(rows.size * 2, dtype=np.int64)
-        elems[0::2] = first
-        elems[1::2] = last
-        return self.pages_of_elements(rng_range, elems, _F32, page_size)
+        n, tile = self.n, self.tile
+        grid = n // tile
+        rows = np.arange(n, dtype=np.int64).reshape(grid, 1, tile)
+        col_lo = np.arange(0, n, tile, dtype=np.int64).reshape(1, grid, 1)
+        first = rows * n + col_lo
+        elems = np.empty((grid, grid, 2 * tile), dtype=np.int64)
+        elems[..., 0::2] = first
+        elems[..., 1::2] = first + (tile - 1)
+        return self.pages_of_element_rows(
+            rng_range, elems.reshape(grid * grid, 2 * tile), _F32, page_size
+        )
 
     def build(self, space: AddressSpace, rng: SimRng) -> WorkloadBuild:
         n, tile = self.n, self.tile
@@ -80,27 +84,34 @@ class SgemmWorkload(Workload):
         b = space.malloc_managed(nbytes, name="B")
         c = space.malloc_managed(nbytes, name="C")
         page_size = space.page_size
-
         grid = n // tile
-        streams: list[WarpStream] = []
-        sid = 0
-        k_steps = range(0, n, tile)
-        for bi in range(grid):
-            a_rows = np.arange(bi * tile, (bi + 1) * tile, dtype=np.int64)
-            for bj in range(grid):
-                parts: list[np.ndarray] = []
-                for kk in k_steps:
-                    b_rows = np.arange(kk, kk + tile, dtype=np.int64)
-                    parts.append(self._band_pages(a, a_rows, kk, kk + tile, page_size))
-                    parts.append(
-                        self._band_pages(b, b_rows, bj * tile, (bj + 1) * tile, page_size)
-                    )
-                c_pages = self._band_pages(c, a_rows, bj * tile, (bj + 1) * tile, page_size)
-                read_pages = np.concatenate(parts) if parts else np.empty(0, np.int64)
-                pages = np.concatenate([read_pages, c_pages])
-                writes = np.zeros(pages.shape, dtype=bool)
-                writes[read_pages.size :] = True
-                block_flops = 2 * tile * tile * n  # tile^2 outputs, n-MACs each
-                streams.append(self.make_stream(sid, pages, writes, flops=block_flops))
-                sid += 1
-        return WorkloadBuild(streams=streams, ranges={"A": a, "B": b, "C": c})
+
+        # every band once, then each block (bi, bj) - in row-major
+        # block order - gathers its stream A(bi,0) B(0,bj) ... A(bi,g-1)
+        # B(g-1,bj) C(bi,bj) out of them
+        bands = [self._band_pages(m, page_size) for m in (a, b, c)]
+        src = np.concatenate([pages for pages, _ in bands])
+        band_len = np.concatenate([lengths for _, lengths in bands])
+        band_start = np.zeros_like(band_len)
+        np.cumsum(band_len[:-1], out=band_start[1:])
+        # segment (bi, bj, s): s = 2k -> A(bi, k), 2k+1 -> B(k, bj), 2g -> C
+        seg_start = np.empty((grid, grid, 2 * grid + 1), dtype=np.int64)
+        seg_len = np.empty_like(seg_start)
+        for seg, band in ((seg_start, band_start), (seg_len, band_len)):
+            band_a, band_b, band_c = band.reshape(3, grid, grid)
+            seg[:, :, 0:-1:2] = band_a[:, None, :]
+            seg[:, :, 1:-1:2] = band_b.T[None, :, :]
+            seg[:, :, -1] = band_c
+        lengths = seg_len.sum(axis=2).ravel()
+        offsets = np.zeros(grid * grid + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        pages = np.empty(int(offsets[-1]), dtype=np.int64)
+        for bi in range(grid):  # one grid row at a time bounds the index array
+            starts = seg_start[bi].ravel()
+            idx = span_indices(starts, starts + seg_len[bi].ravel())
+            np.take(src, idx, out=pages[offsets[bi * grid] : offsets[(bi + 1) * grid]])
+        writes = np.zeros(pages.size, dtype=bool)  # each block writes its C tile
+        writes[span_indices(offsets[1:] - seg_len[:, :, -1].ravel(), offsets[1:])] = True
+        block_flops = 2 * tile * tile * n  # tile^2 outputs, n-MACs each
+        table = StreamTable(offsets, pages, writes, flops_per_access=block_flops / lengths)
+        return WorkloadBuild.single(table, {"A": a, "B": b, "C": c})

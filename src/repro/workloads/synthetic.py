@@ -17,10 +17,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.gpu.warp import WarpStream
+from repro.gpu.table import StreamTable
 from repro.mem.address_space import AddressSpace
 from repro.sim.rng import SimRng
-from repro.workloads.base import Workload, WorkloadBuild, chunk_indices
+from repro.workloads.base import Workload, WorkloadBuild
 
 
 class _PageTouch(Workload):
@@ -50,12 +50,11 @@ class _PageTouch(Workload):
         buf = space.malloc_managed(self.data_bytes, name="buffer")
         order = self._page_order(buf.npages, rng.fork(self.name))
         pages = buf.start_page + order
-        streams: list[WarpStream] = []
-        for sid, (lo, hi) in enumerate(chunk_indices(len(pages), self.pages_per_stream)):
-            chunk = pages[lo:hi]
-            writes = np.full(chunk.shape, self.write, dtype=bool) if self.write else None
-            streams.append(self.make_stream(sid, chunk, writes))
-        return WorkloadBuild(streams=streams, ranges={"buffer": buf})
+        offsets = np.append(
+            np.arange(0, pages.size, self.pages_per_stream, dtype=np.int64), pages.size
+        )
+        writes = np.ones(pages.size, dtype=bool) if self.write else None
+        return WorkloadBuild.single(StreamTable(offsets, pages, writes), {"buffer": buf})
 
 
 class RegularAccess(_PageTouch):

@@ -24,11 +24,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.gpu.warp import WarpStream
+from repro.gpu.table import StreamTableBuilder
 from repro.mem.address_space import AddressSpace
 from repro.mem.address_space import ManagedRange
 from repro.sim.rng import SimRng
-from repro.workloads.base import Workload, WorkloadBuild
+from repro.workloads.base import HostAccess, KernelPhase, Workload, WorkloadBuild
 
 _F64 = 8
 
@@ -83,12 +83,10 @@ class TealeafWorkload(Workload):
         w = space.malloc_managed(nbytes, name="w")
         page_size = space.page_size
 
-        from repro.workloads.base import HostAccess, KernelPhase
-
         phases: list[KernelPhase] = []
         sid = 0
         for iteration in range(self.iterations):
-            streams: list[WarpStream] = []
+            streams = StreamTableBuilder()
             for row in range(0, self.n, self.rows_per_stream):
                 hi = min(row + self.rows_per_stream, self.n)
                 # stencil reads p with a one-row halo on each side
@@ -100,7 +98,7 @@ class TealeafWorkload(Workload):
                 writes = np.zeros(pages.shape, dtype=bool)
                 # w is written by the operator; u and r are updated.
                 writes[p_pages.size :] = True
-                streams.append(self.make_stream(sid, pages, writes))
+                streams.add(sid, pages, writes)
                 sid += 1
             host_before = None
             if self.host_check and iteration > 0:
@@ -112,8 +110,5 @@ class TealeafWorkload(Workload):
                 host_before = HostAccess(
                     pages=r.pages()[:: space.pages_per_big_page], writes=False
                 )
-            phases.append(KernelPhase(streams=streams, host_before=host_before))
-        ranges = {"u": u, "p": p, "r": r, "w": w}
-        if self.iterations == 1 and not self.host_check:
-            return WorkloadBuild(streams=phases[0].streams, ranges=ranges)
-        return WorkloadBuild.from_phases(phases, ranges)
+            phases.append(KernelPhase(streams.finish(), host_before=host_before))
+        return WorkloadBuild(phases, {"u": u, "p": p, "r": r, "w": w})
